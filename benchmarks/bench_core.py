@@ -1,19 +1,18 @@
-"""Core-loop benchmarks: columnar simulation vs the object baseline.
+"""Core benchmarks: the production timing engine vs the object reference.
 
 Throughput (simulated events/sec) on fig3-sized kernel traces for the
-three hot paths the columnar ``Trace`` rewrite targets:
+production paths:
 
-* ``simulate`` — ``Core.simulate`` on a columnar trace vs the same
-  core driven by the equivalent ``list[TraceEvent]`` (the pre-change
-  object path, kept as the golden reference). Speedup is printed per
-  kernel and asserted >= 2x (the loop measures ~2.7-2.9x; the floor
-  leaves headroom for loaded CI machines).
+* ``simulate`` — ``Core.simulate`` on a columnar trace (the timing
+  engine: one frontend pass plus the carried-state replay, native when
+  a C compiler is available) vs the same core driven by the equivalent
+  ``list[TraceEvent]`` (the object reference loop). Speedup is printed
+  per kernel and asserted >= 2x (the floor leaves headroom for loaded
+  CI machines and for hosts on the Python replay).
 * ``replay`` — the full trace-replay pipeline as a design-space sweep
   pays it: tracestore load + simulate. v1 text + object simulation vs
-  v2 binary + columnar simulation. This end-to-end path is the
-  object-based baseline every cached sweep used before the rewrite,
-  and is asserted >= 3x faster (it measures ~7-8x: the v1 parser
-  built one TraceEvent per line).
+  v2 binary + engine simulation, asserted >= 3x faster (the v1 parser
+  builds one TraceEvent per line).
 * ``sampled`` / ``warm`` — ``simulate_sampled`` under the default
   plan and the mask-skipping functional warmer on the cold stretches.
 
@@ -24,8 +23,8 @@ Run as a script for the CI smoke check::
 
     PYTHONPATH=src python benchmarks/bench_core.py --smoke
 
-which verifies columnar == object simulation on the smallest kernel
-and reports the throughput of both paths.
+which verifies engine == object simulation on the smallest kernel and
+reports the throughput of both paths.
 """
 
 import sys
@@ -72,7 +71,7 @@ def _best_events_per_sec(fn, n_events, reps=5):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def bench_core_simulate(benchmark, kernel):
-    """Core.simulate: columnar trace vs the object-event baseline."""
+    """Core.simulate: the timing engine vs the object reference."""
     trace, events = _fixture(kernel)
     config = power5()
     n = len(trace)
@@ -80,28 +79,28 @@ def bench_core_simulate(benchmark, kernel):
     object_rate = _best_events_per_sec(
         lambda: Core(config).simulate(events), n
     )
-    columnar_rate = benchmark.pedantic(
+    engine_rate = benchmark.pedantic(
         lambda: _best_events_per_sec(
             lambda: Core(config).simulate(trace), n
         ),
         rounds=1,
         iterations=1,
     )
-    speedup = columnar_rate / object_rate
+    speedup = engine_rate / object_rate
     print(
         f"\n{kernel}: {n} events | object {object_rate / 1e3:.0f}k ev/s"
-        f" | columnar {columnar_rate / 1e3:.0f}k ev/s"
+        f" | engine {engine_rate / 1e3:.0f}k ev/s"
         f" | speedup {speedup:.2f}x"
     )
     assert speedup >= 2.0, (
-        f"columnar simulate only {speedup:.2f}x the object path on "
-        f"{kernel} (expected >= 2x; typical ~2.8x)"
+        f"engine simulate only {speedup:.2f}x the object path on "
+        f"{kernel} (expected >= 2x)"
     )
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def bench_core_replay(benchmark, kernel, tmp_path):
-    """Full replay (tracestore load + simulate), v1/object vs v2/columnar."""
+    """Full replay (tracestore load + simulate), v1/object vs v2/engine."""
     trace, events = _fixture(kernel)
     config = power5()
     n = len(trace)
@@ -113,7 +112,7 @@ def bench_core_replay(benchmark, kernel, tmp_path):
     baseline_rate = _best_events_per_sec(
         lambda: Core(config).simulate(load_trace(v1_path)), n, reps=3
     )
-    columnar_rate = benchmark.pedantic(
+    engine_rate = benchmark.pedantic(
         lambda: _best_events_per_sec(
             lambda: Core(config).simulate(load_trace_columnar(v2_path)),
             n,
@@ -122,15 +121,15 @@ def bench_core_replay(benchmark, kernel, tmp_path):
         rounds=1,
         iterations=1,
     )
-    speedup = columnar_rate / baseline_rate
+    speedup = engine_rate / baseline_rate
     print(
         f"\n{kernel}: replay v1+object {baseline_rate / 1e3:.0f}k ev/s"
-        f" | v2+columnar {columnar_rate / 1e3:.0f}k ev/s"
+        f" | v2+engine {engine_rate / 1e3:.0f}k ev/s"
         f" | speedup {speedup:.2f}x"
     )
     assert speedup >= 3.0, (
-        f"v2 columnar replay only {speedup:.2f}x the v1 object "
-        f"pipeline on {kernel} (expected >= 3x; typical ~8x)"
+        f"v2 engine replay only {speedup:.2f}x the v1 object "
+        f"pipeline on {kernel} (expected >= 3x)"
     )
 
 
@@ -170,18 +169,18 @@ def bench_core_warm(benchmark):
 
 
 def _smoke() -> int:
-    """CI smoke: columnar == object simulation on the smallest kernel."""
+    """CI smoke: engine == object simulation on the smallest kernel."""
     from repro.engine.serialize import result_to_dict
 
     trace, events = _fixture("clustalw")
     config = power5()
     n = len(trace)
-    columnar = Core(config).simulate(trace)
+    engine = Core(config).simulate(trace)
     objects = Core(config).simulate(events)
-    if result_to_dict(columnar) != result_to_dict(objects):
-        print("FAIL: columnar simulation diverged from the object path")
+    if result_to_dict(engine) != result_to_dict(objects):
+        print("FAIL: engine simulation diverged from the object path")
         return 1
-    columnar_rate = _best_events_per_sec(
+    engine_rate = _best_events_per_sec(
         lambda: Core(config).simulate(trace), n, reps=3
     )
     object_rate = _best_events_per_sec(
@@ -189,9 +188,9 @@ def _smoke() -> int:
     )
     print(
         f"clustalw: {n} events | object {object_rate / 1e3:.0f}k ev/s | "
-        f"columnar {columnar_rate / 1e3:.0f}k ev/s"
+        f"engine {engine_rate / 1e3:.0f}k ev/s"
     )
-    print("OK: columnar simulation matches the object path exactly")
+    print("OK: engine simulation matches the object path exactly")
     return 0
 
 

@@ -11,4 +11,10 @@ The package splits into:
 * :mod:`repro.experiments` — one driver per paper table/figure.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# Library logging (fallbacks, degraded paths) is silent unless the
+# application configures a handler for the ``repro`` hierarchy.
+logging.getLogger("repro").addHandler(logging.NullHandler())

@@ -21,9 +21,9 @@ kind           scheme
 
 ``gshare`` and ``bimodal`` are the historical residents of
 :mod:`repro.uarch.branch_predictor`, re-registered here behind the
-interface; the core's columnar hot loop still inlines the default
-gshare, and the golden-equality suite pins every other kind's columnar
-route to the object reference path.
+interface; the timing engine's frontend pass still inlines the
+default gshare, and the golden-equality suite pins every other kind's
+route through it to the object reference path.
 
 Every implementation keeps the same statistics contract —
 ``predictions`` / ``mispredictions`` counters, a ``misprediction_rate``

@@ -323,7 +323,7 @@ def _batch_tasks(tasks) -> list:
     """Fold trace-sharing groups of two or more points into batches.
 
     Singleton groups stay plain :class:`_Task`s — there is nothing to
-    share, and the scalar path avoids the batch bookkeeping.
+    share, and the single-config path avoids the batch bookkeeping.
     """
     out: list = []
     for (app, variant), group in group_by_trace(tasks).items():

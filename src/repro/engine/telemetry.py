@@ -103,7 +103,7 @@ class EngineStats:
     batch_sizes: list[int] = field(default_factory=list)
     #: Points that took the shared-frontend batched replay.
     batch_vectorized: int = 0
-    #: Points inside a batch that fell back to scalar ``Core.simulate``.
+    #: Points inside a batch whose traces took the object reference.
     batch_fallback: int = 0
     #: Trace decodes avoided by the scheduler's per-sweep prewarm: for
     #: every group of pending points sharing a workload trace, all but

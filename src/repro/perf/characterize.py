@@ -543,8 +543,8 @@ def characterize_batched(
 
     Returns ``(characterisations, info)`` where ``info`` reports how
     many points took the shared-frontend path (``vectorized``) versus
-    the per-config scalar fallback (``fallback``), and whether the
-    native replay kernel ran.
+    the object reference that only unpackable traces need
+    (``fallback``), and whether the native replay kernel ran.
     """
     from repro.uarch.batched import simulate_batched, simulate_batched_stream
 

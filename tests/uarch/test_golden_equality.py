@@ -1,14 +1,18 @@
-"""Columnar vs object simulation paths must agree exactly.
+"""The timing engine and the object reference must agree exactly.
 
-The columnar ``Core._simulate_columnar`` hot loop replaces the object
-loop (``Core._simulate_events``, kept verbatim as the golden
-reference). This suite drives every kernel x code variant through both
-paths under every interesting core configuration — BTAC on/off crossed
-with 2/3/4 FXUs — and requires the *entire* serialised
-:class:`SimResult` to match, intervals included. Any divergence in the
-rewritten loop (flag decoding, dependency scoreboard, unit occupancy,
-branch redirect, stall attribution) fails here first.
+Columnar traces run the timing engine (a frontend pass plus a
+carried-state timing replay, :mod:`repro.uarch.batched`); the object
+loop (``Core._simulate_events``) is the one independent reference.
+This suite drives every kernel x code variant through both under every
+interesting core configuration — BTAC on/off crossed with 2/3/4 FXUs —
+and requires the *entire* serialised :class:`SimResult` to match,
+intervals included. Any divergence in the engine (flag decoding,
+dependency scoreboard, unit occupancy, branch redirect, stall
+attribution, the native kernel's lane growth and bail-outs) fails here
+first.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from repro.bio.msa import clustalw, pairwise_distance_matrix
 from repro.bio.scoring import BLOSUM62, GapPenalties
 from repro.bio.workloads import make_family, mutate
 from repro.engine.serialize import result_to_dict
+from repro.isa.instructions import Instruction, Op
 from repro.isa.trace import Trace
 from repro.kernels import (
     forward_pass,
@@ -90,6 +95,18 @@ def _kernel_events(kernel: str, variant: str) -> list:
 
 
 _trace_memo: dict = {}
+
+
+def _wide_source_trace(trace: Trace) -> Trace:
+    """A copy of ``trace`` whose first static entry reads four GPRs.
+
+    The mini-ISA never reads more than three, so only a hand-built
+    table like this one falls outside the engine's packed encoding.
+    """
+    wide = Trace()
+    wide.extend(trace)
+    wide.static.srcs[0] = (1, 2, 3, 4)
+    return wide
 
 
 def _traces(kernel: str, variant: str) -> tuple[list, Trace]:
@@ -191,14 +208,15 @@ class TestSyntheticGoldenEquality:
 
 
 class TestBatchedGoldenEquality:
-    """``simulate_batched`` == N sequential ``Core.simulate`` calls.
+    """``simulate_batched`` == N sequential object-reference runs.
 
     The batched path shares one frontend pass (predictor / BTAC / L1D)
     across every config in a frontend group and replays per-config
     timing from the recorded action stream; this matrix pins the whole
-    serialised :class:`SimResult` — intervals included — to the scalar
-    loop across predictor kinds, FXU counts and BTAC sizes, plus the
-    ragged case where one batch mixes vectorized and fallback points.
+    serialised :class:`SimResult` — intervals included — to the object
+    reference ``Core._simulate_events`` across predictor kinds, FXU
+    counts and BTAC sizes, plus the reference fallback for wide static
+    tables.
     """
 
     def _batched_vs_sequential(self, trace, configs, interval_size=None):
@@ -206,9 +224,10 @@ class TestBatchedGoldenEquality:
 
         outcome = simulate_batched(trace, configs,
                                    interval_size=interval_size)
+        events = trace.to_events()
         golden = [
             result_to_dict(
-                Core(config).simulate(trace, interval_size=interval_size)
+                Core(config)._simulate_events(events, interval_size)
             )
             for config in configs
         ]
@@ -249,9 +268,9 @@ class TestBatchedGoldenEquality:
         self._batched_vs_sequential(trace, configs, interval_size=1_000)
 
     def test_ragged_batch_mixes_vectorized_and_fallback(self):
-        """One call, mixed outcome: a shared-frontend group batches,
-        a singleton group falls back to the scalar loop — results must
-        be identical either way."""
+        """A singleton frontend group (the perceptron point) takes the
+        engine like the shared group; only a static table with more
+        than three sources falls back, to the object reference."""
         _, trace = _traces("fasta", "baseline")
         configs = [
             power5().with_fxus(2),
@@ -262,9 +281,12 @@ class TestBatchedGoldenEquality:
             ),
         ]
         outcome = self._batched_vs_sequential(trace, configs)
-        assert outcome.vectorized == 3
-        assert outcome.fallback == 1
-        assert outcome.batched == [True, True, True, False]
+        assert outcome.batched == [True, True, True, True]
+
+        wide = _wide_source_trace(trace[:3_000])
+        outcome = self._batched_vs_sequential(wide, configs)
+        assert outcome.vectorized == 0
+        assert outcome.fallback == len(configs)
 
     def test_python_replay_matches_without_native_kernel(self, monkeypatch):
         """REPRO_NATIVE=off pins the pure-Python timing replay."""
@@ -274,3 +296,95 @@ class TestBatchedGoldenEquality:
         outcome = self._batched_vs_sequential(trace, configs)
         assert not outcome.native
         assert outcome.vectorized == len(configs)
+
+
+def _occupancy_trace(occupancy: int, pattern: tuple[Op, ...],
+                     repeats: int) -> Trace:
+    """Independent multiplies (plus filler adds) whose non-pipelined
+    multiply occupies an FXU for ``occupancy`` cycles — a hand-built
+    static table; the ISA's own multiply occupies 5."""
+    trace = Trace()
+    pc = 0
+    for _ in range(repeats):
+        for op in pattern:
+            trace.append(pc, Instruction(op, rd=3, ra=1, rb=2), False,
+                         pc + 1, None)
+            pc += 1
+    trace.static.occupancies[trace.sid[0]] = occupancy  # the multiply
+    return trace
+
+
+class _KernelSpy:
+    """Records the native kernel's return values."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.returns: list[int] = []
+
+    def __call__(self, *args):
+        value = self.fn(*args)
+        self.returns.append(value)
+        return value
+
+
+class TestNativeEdgePaths:
+    """The native replay's lane-growth retry and bail-outs, pinned to
+    the object reference monolithically and streamed. Without the
+    native kernel (REPRO_NATIVE=off, no compiler) the same traces pin
+    the Python replay."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        from repro.uarch import batched
+
+        fn = batched._native_kernel()
+        if fn is None:
+            return None
+        spy = _KernelSpy(fn)
+        monkeypatch.setattr(batched, "_native_kernel", lambda: spy)
+        return spy
+
+    def _assert_all_paths_match(self, trace, spy, caplog):
+        """Returns the kernel's return values on the monolithic run."""
+        config = power5()
+        golden = result_to_dict(
+            Core(config)._simulate_events(trace.to_events())
+        )
+        with caplog.at_level(logging.DEBUG, logger="repro.uarch.batched"):
+            assert result_to_dict(Core(config).simulate(trace)) == golden
+            monolithic = list(spy.returns) if spy else None
+            for size in (1, 997):
+                streamed = Core(config).simulate_stream(
+                    trace.segments(size)
+                )
+                assert result_to_dict(streamed) == golden, size
+        return monolithic
+
+    def test_occupancy_95_grows_the_usage_lanes(self, spy, caplog):
+        # Half the events block an FXU for 95 cycles: ~24 cycles per
+        # event overflows the first 8n+4096 lanes, the 4x retry fits.
+        trace = _occupancy_trace(95, (Op.MUL, Op.ADD), 1_500)
+        returns = self._assert_all_paths_match(trace, spy, caplog)
+        if spy:
+            assert returns == [-1, 0]
+            assert not caplog.records
+
+    def test_occupancy_95_overflow_replays_in_python(self, spy, caplog):
+        # Every event blocks an FXU for 95 cycles: ~48 cycles per event
+        # outgrows the 4x retry too, so the segment replays in Python.
+        trace = _occupancy_trace(95, (Op.MUL,), 3_000)
+        returns = self._assert_all_paths_match(trace, spy, caplog)
+        if spy:
+            assert returns == [-1, -1]
+            assert any(
+                "overflow" in r.getMessage() for r in caplog.records
+            )
+
+    def test_occupancy_96_bails_out_to_python(self, spy, caplog):
+        trace = _occupancy_trace(96, (Op.MUL, Op.ADD), 1_500)
+        returns = self._assert_all_paths_match(trace, spy, caplog)
+        if spy:
+            assert returns == []
+            assert any(
+                "occupancy 96" in r.getMessage() for r in caplog.records
+            )

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.engine.serialize import result_to_dict
 from repro.errors import SimulationError
-from repro.uarch.config import power5
+from repro.uarch.config import PREDICTOR_KINDS, power5
 from repro.uarch.core import Core, simulate_trace
 from repro.uarch.sampling import (
     SamplingPlan,
@@ -107,15 +108,24 @@ class TestEdgeCases:
         assert abs(sampled.ipc - full.ipc) / full.ipc < 0.15
 
     def test_object_and_columnar_traces_sample_identically(self, trace):
+        """Warm-up, reset_stats and measured windows on one live core:
+        the engine must leave the predictor/BTAC/cache exactly as the
+        object reference does, so the whole merged payload agrees for
+        every predictor kind, BTAC on and off."""
         plan = SamplingPlan(period=10_000, window=2_500, offset=500)
-        columnar = simulate_sampled(trace, power5(), plan)
-        objects = simulate_sampled(trace.to_events(), power5(), plan)
-        assert columnar.instructions == objects.instructions
-        assert columnar.cycles == objects.cycles
-        assert columnar.direction_mispredictions == (
-            objects.direction_mispredictions
-        )
-        assert columnar.cache.misses == objects.cache.misses
+        events = trace.to_events()
+        for kind in PREDICTOR_KINDS:
+            for btac in (False, True):
+                config = power5().with_predictor(
+                    kind, table_bits=10, history_bits=8
+                )
+                if btac:
+                    config = config.with_btac()
+                columnar = simulate_sampled(trace, config, plan)
+                objects = simulate_sampled(events, config, plan)
+                assert result_to_dict(columnar) == result_to_dict(
+                    objects
+                ), (kind, btac)
 
 
 class TestMergeResults:

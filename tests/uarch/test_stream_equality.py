@@ -66,8 +66,11 @@ def _stream(trace, size, config, interval_size=None):
 
 
 def _mono(trace, config, interval_size=None):
+    """The object reference over the whole trace."""
     return result_to_dict(
-        Core(config).simulate(trace, interval_size=interval_size)
+        Core(config)._simulate_events(
+            trace.to_events(), interval_size=interval_size
+        )
     )
 
 
@@ -139,19 +142,18 @@ class TestSimulateStreamEquality:
 
 
 class TestBatchedStreamEquality:
-    """``simulate_batched_stream`` == ``simulate_batched`` == scalar."""
+    """``simulate_batched_stream`` == ``simulate_batched`` == reference."""
 
     def _assert_matches(self, trace, configs, size, interval_size=None):
         streamed = simulate_batched_stream(
             trace.segments(size), configs, interval_size=interval_size
         )
-        golden = simulate_batched(
+        monolithic = simulate_batched(
             trace, configs, interval_size=interval_size
         )
-        assert (
-            [result_to_dict(r) for r in streamed.results]
-            == [result_to_dict(r) for r in golden.results]
-        )
+        golden = [_mono(trace, config, interval_size) for config in configs]
+        assert [result_to_dict(r) for r in streamed.results] == golden
+        assert [result_to_dict(r) for r in monolithic.results] == golden
         return streamed
 
     @pytest.mark.parametrize("size", (1, 977, 10**9))
@@ -163,7 +165,8 @@ class TestBatchedStreamEquality:
 
     def test_mixed_vectorized_and_singleton(self):
         """A perceptron point joins the batch as a singleton group and
-        runs on the scalar carried-state path over the same walk."""
+        takes the same engine over the same walk; only a stream whose
+        static table reads four GPRs falls back to the reference."""
         trace = _synthetic()
         configs = [
             power5().with_fxus(2),
@@ -172,7 +175,14 @@ class TestBatchedStreamEquality:
                 "perceptron", table_bits=10, history_bits=8
             ),
         ]
-        self._assert_matches(trace, configs, 977)
+        outcome = self._assert_matches(trace, configs, 977)
+        assert outcome.vectorized == 3
+
+        wide = Trace()
+        wide.extend(trace[:2_000])
+        wide.static.srcs[0] = (1, 2, 3, 4)
+        outcome = self._assert_matches(wide, configs, 977)
+        assert outcome.fallback == 3
 
     def test_intervals(self):
         trace = _synthetic()
